@@ -11,7 +11,9 @@ Three permutation budgets appear in the paper's Figure 11:
   though its *range* is not.  The budget solves
   ``sum_i exp(-T (1 - q_i^2) h(eps / ((1 - q_i^2) r))) = delta / 2``
   with ``q_i = 0`` for ``i <= K`` and ``q_i = (i - K)/i`` otherwise,
-  and ``h(u) = (1 + u) ln(1 + u) - u``.
+  and ``h(u) = (1 + u) ln(1 + u) - u``.  Ranks past a few thousand
+  enter through a closed-form upper bound, so the solve costs the same
+  at any N and T never comes out below the exact-sum solution.
 * **Bennett, closed-form approximation** (eq 34 / Appendix H):
   ``T ≈ (1 / h(eps / r)) * ln(2K / delta)``, which no longer grows
   with N.
@@ -23,6 +25,7 @@ set; the same permutations serve every training point.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -92,6 +95,51 @@ def bennett_qi(n: int, k: int) -> np.ndarray:
     return q
 
 
+#: ranks whose eq (32) terms are summed exactly; the rest of the sum is
+#: bounded above in closed form (see :func:`_bennett_lhs`), so a budget
+#: solve costs the same at any N
+_EXACT_RANKS = 4096
+
+
+def _bennett_lhs(
+    epsilon: float, n: int, k: int, r: float
+) -> Callable[[int], float]:
+    """Eq (32)'s left-hand side as a function of T, never below the exact sum.
+
+    With ``c = eps / r``, the first ``M = min(n, max(4096, 2 e^2 K / c))``
+    ranks are summed exactly.  Beyond rank K,
+    ``a_i = 1 - q_i^2 = K (2i - K) / i^2 <= 2K / i`` and ``a h(c / a)``
+    falls as ``a`` grows, so ``a_i h(c / a_i) >= c ln(c i / (2 e K))``
+    and term i is at most ``(2 e K / (c i))^(T c)``.  That bound
+    decreases in i, so the tail ``i > M`` is at most its integral from
+    M, ``(2 e K / (c M))^(T c) M / (T c - 1)``, which is infinite for
+    ``T c <= 1``; ``M >= 2 e^2 K / c`` keeps its base at most ``1 / e``,
+    so it vanishes as T grows.  With ``n <= M`` the sum is exact, term
+    for term the same floats as summing all n ranks.
+    """
+    c = epsilon / r
+    m = min(n, max(_EXACT_RANKS, math.ceil(2.0 * math.e**2 * k / c)))
+    q = bennett_qi(m, k)
+    one_minus_q2 = 1.0 - q**2
+    h_vals = np.asarray(bennett_h(epsilon / (one_minus_q2 * r)))
+    exponents = one_minus_q2 * h_vals  # per-point decay rate
+    log_base = math.log(2.0 * math.e * k / (c * m))
+
+    def lhs(t: int) -> float:
+        head = float(np.exp(-t * exponents).sum())
+        if m == n:
+            return head
+        p = t * c
+        if p <= 1.0:
+            return math.inf
+        log_tail = p * log_base + math.log(m / (p - 1.0))
+        if log_tail > 700.0:  # exp would overflow; no delta fits anyway
+            return math.inf
+        return head + math.exp(log_tail)
+
+    return lhs
+
+
 def bennett_permutations(
     epsilon: float,
     delta: float,
@@ -102,35 +150,36 @@ def bennett_permutations(
 ) -> int:
     """Permutation budget from Theorem 5 (Bennett's inequality).
 
-    Solves eq (32) for ``T*`` by bisection.  The left-hand side is
-    strictly decreasing in ``T``, so the root is unique.
+    The smallest integer ``T`` whose eq (32) left-hand side is at most
+    ``delta / 2``.  The left-hand side is strictly decreasing in ``T``,
+    so doubling brackets it and an integer bisection finds it in about
+    ``2 log2 T`` evaluations.  Each evaluation sums at most a few
+    thousand ranks exactly and bounds the rest in closed form
+    (:func:`_bennett_lhs`), so the solve costs the same at any N; the
+    budget is non-decreasing in N and constant once N passes the
+    exactly summed ranks.
     """
     _validate(epsilon, delta, r)
-    q = bennett_qi(n, k)
-    one_minus_q2 = 1.0 - q**2
-    h_vals = np.asarray(bennett_h(epsilon / (one_minus_q2 * r)))
-    exponents = one_minus_q2 * h_vals  # per-point decay rate
-
-    def lhs(t: float) -> float:
-        return float(np.exp(-t * exponents).sum())
-
+    lhs = _bennett_lhs(epsilon, n, k, r)
     target = delta / 2.0
-    lo, hi = 0.0, 1.0
+    hi = 1
     it = 0
     while lhs(hi) > target:
-        hi *= 2.0
+        hi *= 2
         it += 1
         if it > max_iter:
             raise ConvergenceError(
                 "failed to bracket the Bennett permutation budget"
             )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+    # lhs(lo) > target: lo failed the doubling, or is 0 (lhs = n)
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if lhs(mid) > target:
             lo = mid
         else:
             hi = mid
-    return int(math.ceil(hi))
+    return hi
 
 
 def bennett_approx_permutations(
@@ -175,11 +224,17 @@ def certified_epsilon(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if r <= 0:
         raise ParameterError(f"range r must be positive, got {r}")
-    # bennett_permutations is strictly decreasing in epsilon; bracket
-    # then bisect for the smallest epsilon whose budget fits
+    # eq (32)'s left-hand side at T = n_permutations falls as epsilon
+    # grows, and "fits" is exactly "bennett_permutations(eps) <= T";
+    # bracket then bisect for the smallest epsilon that fits
+    target = delta / 2.0
+
+    def fits(eps: float) -> bool:
+        return _bennett_lhs(eps, n, k, r)(n_permutations) <= target
+
     lo, hi = 0.0, float(r)
     it = 0
-    while bennett_permutations(hi, delta, n, k, r) > n_permutations:
+    while not fits(hi):
         hi *= 2.0
         it += 1
         if it > max_iter:
@@ -190,8 +245,8 @@ def certified_epsilon(
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
-        if bennett_permutations(mid, delta, n, k, r) > n_permutations:
-            lo = mid
-        else:
+        if fits(mid):
             hi = mid
+        else:
+            lo = mid
     return hi

@@ -20,7 +20,11 @@ every insertion, :func:`mc_values_from_distances`
 2. **skip-scans** between heap events with vectorized numpy block
    comparisons against the current K-th smallest distance, so the
    Python-level loop runs ``O(K ln N)`` times per permutation while
-   the O(N) scan work stays in C.
+   the O(N) scan work stays in C;
+3. records only the heap **events** (insertion time, evicted time),
+   reads the match labels at those positions alone and scatters those
+   few marginals into the result, so per permutation and test point
+   the O(N) work is one distance gather and one scan.
 
 The estimator is unbiased for the unweighted KNN classification
 utility (the same utility :class:`~repro.core.montecarlo` replays:
@@ -48,43 +52,38 @@ __all__ = ["mc_values_from_distances"]
 _SCAN_BLOCK = 2048
 
 
-def _one_permutation(
-    d: np.ndarray, m: np.ndarray, k: int, out: np.ndarray, block: int
-) -> None:
-    """Accumulate one permutation's marginals into ``out`` (permuted order).
+def _heap_events(
+    d: np.ndarray, k: int, block: int
+) -> tuple[list[int], list[int]]:
+    """One permutation's heap events, in insertion order.
 
-    ``d``/``m`` are the distance and match vectors already gathered in
-    permutation order; ``out[t]`` receives the marginal contribution of
-    the point inserted at time ``t``.
+    ``d`` is the distance vector gathered in permutation order.
+    Returns the insertion time of every point that entered the running
+    K-nearest heap and, for each, the insertion time of the point it
+    evicted (-1 while the heap was still filling).  Ties evict the
+    earliest-inserted of the farthest points.
     """
     n = d.shape[0]
-    heap: list[tuple[float, int]] = []  # max-heap by distance: (-d, t)
-    t = 0
+    # prefix smaller than K: every insertion joins the neighbor set
+    # and evicts nobody
+    filled = min(k, n)
+    inserted = list(range(filled))
+    evicted = [-1] * filled
+    heap = [(-dt, t) for t, dt in enumerate(d[:filled].tolist())]
+    heapq.heapify(heap)  # max-heap by distance: (-d, t)
+    t = filled
     while t < n:
-        if len(heap) < k:
-            # prefix smaller than K: every insertion joins the
-            # neighbor set and evicts nobody
-            heapq.heappush(heap, (-d[t], t))
-            out[t] += m[t] / k
-            t += 1
-            continue
         # skip-scan: the next event is the first remaining point
         # closer than the current K-th nearest
-        threshold = -heap[0][0]
-        event = -1
-        while t < n:
-            stop = min(n, t + block)
-            hits = np.flatnonzero(d[t:stop] < threshold)
-            if hits.size:
-                event = t + int(hits[0])
-                break
-            t = stop
-        if event < 0:
-            return
-        t = event
-        _, evicted = heapq.heapreplace(heap, (-d[t], t))
-        out[t] += (m[t] - m[evicted]) / k
+        hits = np.flatnonzero(d[t : t + block] < -heap[0][0])
+        if not hits.size:
+            t += block
+            continue
+        t += int(hits[0])
+        evicted.append(heapq.heapreplace(heap, (-float(d[t]), t))[1])
+        inserted.append(t)
         t += 1
+    return inserted, evicted
 
 
 def mc_values_from_distances(
@@ -134,17 +133,21 @@ def mc_values_from_distances(
         )
     q, n = dist.shape
     values = np.zeros((q, n), dtype=np.float64)
-    buf = np.empty(n, dtype=np.float64)
+    filled = min(k, n)  # events that fill the heap and evict nobody
     for _ in range(n_permutations):
         perm = rng.permutation(n)
         for j in range(q):
             # per-row 1-D take: contiguous-source gathers are several
             # times faster than one strided (q, n) column gather
-            d_perm = dist[j].take(perm)
-            m_perm = match[j].take(perm)
-            buf[:] = 0.0
-            _one_permutation(d_perm, m_perm, k, buf, block)
-            # perm holds unique indices, so fancy += is a scatter
-            values[j, perm] += buf
+            inserted, evicted = _heap_events(dist[j].take(perm), k, block)
+            # only the O(K ln N) event points carry a nonzero marginal:
+            # the inserted point's match, minus the evicted one's once
+            # the heap is full
+            idx = perm[inserted]
+            marginal = match[j].take(idx)
+            marginal[filled:] -= match[j].take(perm[evicted[filled:]])
+            # each point is inserted once per permutation, so idx
+            # holds unique indices and fancy += is a scatter
+            values[j, idx] += marginal / k
     values /= n_permutations
     return values

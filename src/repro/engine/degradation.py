@@ -4,7 +4,10 @@ The paper's approximation hierarchy is, read operationally, a
 *degradation ladder*: Theorem 1 is the exact answer, Theorem 2 buys an
 ``epsilon`` max-norm guarantee for a shorter prefix of the ranking,
 and the Monte Carlo estimator with Theorem 5's budget buys an
-``(epsilon, delta)`` certificate at a cost independent of N.  Each
+``(epsilon, delta)`` certificate with a permutation budget T that is
+independent of N (once N passes a few thousand; it never falls as N
+grows).  The work is not: per test point it is T times one O(N)
+distance gather and scan plus ``O(K ln N)`` heap events.  Each
 rung is strictly cheaper and strictly looser than the one above it —
 and every rung states exactly how loose, which is what makes shedding
 precision (instead of requests) a defensible overload policy.

@@ -1024,14 +1024,15 @@ class ValuationEngine:
     ) -> ValuationResult:
         """Sort-free Monte Carlo estimation with a Theorem 5 certificate.
 
-        The overload rung of the precision ladder: cost is
-        ``T * O(K ln N)`` heap events over raw distances per test
-        point, with ``T`` independent of N for fixed ``(epsilon,
-        delta)`` (Figure 11's flattening curve) — no ranking, no sort,
-        no kernel.  Chunk results merge by eq 8 additivity exactly
-        like the other paths, and each chunk draws its permutations
-        from its own spawned child stream so the output is
-        deterministic in ``seed`` regardless of thread scheduling.
+        The overload rung of the precision ladder: per test point the
+        cost is ``T`` permutations, each one O(N) distance gather and
+        scan plus ``O(K ln N)`` heap events, and the budget ``T`` for
+        fixed ``(epsilon, delta)`` stops growing with N (Figure 11's
+        flattening curve) — no ranking, no sort, no kernel.  Chunk
+        results merge by eq 8 additivity exactly like the other paths,
+        and each chunk draws its permutations from its own spawned
+        child stream so the output is deterministic in ``seed``
+        regardless of thread scheduling.
         """
         if self.task != "classification":
             raise ParameterError(

@@ -1135,7 +1135,7 @@ class ShardRouter:
         the sort-free estimator once.  The permutation budget is
         sized against the *full* training set, so the certificate
         stays valid for any surviving subgame under the ``"partial"``
-        policy (Theorem 5's budget grows with N).
+        policy (Theorem 5's budget is non-decreasing in N).
         """
         n, n_test = self.n_train, x_test.shape[0]
         r = 1.0 / self.k

@@ -260,6 +260,8 @@ class MaintenanceScheduler:
             ]
         self.interval = float(interval)
         self.log: deque[MaintenanceEvent] = deque(maxlen=history)
+        #: notified after every append to :attr:`log`
+        self._logged = threading.Condition()
         self.last_signals: list[DriftSignal] = []
         self._pending: set[str] = set()
         #: deferred actions of labeled (shard) units, keyed by label
@@ -492,7 +494,9 @@ class MaintenanceScheduler:
         event = self._execute(action, tuple(unit_signals), unit)
         if event.ok and action == "retune":
             self._last_retune_monotonic = time.monotonic()
-        self.log.append(event)
+        with self._logged:
+            self.log.append(event)
+            self._logged.notify_all()
         if self.alerts is not None:
             try:
                 labels = {"seconds": f"{event.seconds:.6f}"}
@@ -625,6 +629,24 @@ class MaintenanceScheduler:
             thread.join(timeout)
         self._thread = None
         self._uninstall_hook()
+
+    def wait_for_event(
+        self, action: str, timeout: Optional[float] = None
+    ) -> Optional[MaintenanceEvent]:
+        """Block until :attr:`log` holds an ``action`` event; return the latest.
+
+        A cycle makes an action's effect visible (say, a retune clears
+        the backend's ``needs_refit``) before it logs the event, so
+        polling the effect does not mean the event is logged yet; this
+        waits on the log itself.  Returns ``None`` after ``timeout``
+        seconds without one.
+        """
+
+        def latest() -> Optional[MaintenanceEvent]:
+            return next((e for e in reversed(self.log) if e.action == action), None)
+
+        with self._logged:
+            return self._logged.wait_for(latest, timeout)
 
     def poke(self) -> None:
         """Wake the background loop for an immediate cycle."""

@@ -296,11 +296,9 @@ def test_background_thread_lifecycle_and_poke():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             backend.partial_fit(rng.standard_normal((80, 4)))
-        deadline = time.time() + 10.0
-        while backend.needs_refit and time.time() < deadline:
-            time.sleep(0.02)
+        event = sched.wait_for_event("retune", timeout=10.0)
+        assert event is not None and event.ok
         assert not backend.needs_refit
-        assert any(e.action == "retune" and e.ok for e in sched.log)
     assert not sched.running
     sched.start()
     sched.poke()
